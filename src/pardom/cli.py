@@ -12,7 +12,7 @@ Output is a line-oriented ``key value`` document, or JSON with ``--json``.
 Witness sets print as sorted 0-indexed vertex lists and proportions always
 print as ``i/j``.  For a fixed invocation (including seed, excluding
 ``bench``, whose wall-clock times vary) the output is byte-identical
-across runs in sequential mode.
+across runs.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class RunConfig:
     edge_probability: Fraction = Fraction(1, 2)
     output: str | None = None
     as_json: bool = False
-    parallel: bool = False
     ratio: bool = False
     repeat: int = 3
 
@@ -101,11 +100,11 @@ def _load_graph(config: RunConfig) -> tuple[Graph, str, FamilySpec | None]:
     raise ValueError("no graph given: use --family, --input, or --sample")
 
 
-def _solve(g: Graph, p: Fraction, method: str, parallel: bool) -> SolveResult:
+def _solve(g: Graph, p: Fraction, method: str) -> SolveResult:
     if method == "exact":
-        return gamma_p_exact(g, p, parallel=parallel)
+        return gamma_p_exact(g, p)
     if method == "binary-search":
-        return gamma_p_binary_search(g, p, parallel=parallel)
+        return gamma_p_binary_search(g, p)
     if method == "greedy":
         return greedy_gamma_p(g, p)
     if method == "oracle":
@@ -133,7 +132,7 @@ def _render(pairs, as_json: bool) -> str:
 
 def _run_solve(config: RunConfig, p: Fraction) -> str:
     g, label, _ = _load_graph(config)
-    res = _solve(g, p, config.method, config.parallel)
+    res = _solve(g, p, config.method)
     pairs = [
         ("command", config.command),
         ("graph", label),
@@ -264,14 +263,15 @@ def _run_audit(config: RunConfig) -> str:
 def _run_bench(config: RunConfig) -> str:
     if not config.families:
         raise ValueError("bench needs at least one --family")
+    if config.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {config.repeat}")
     rows = []
     for spec in config.families:
         g = make_family(spec)
         times = []
-        res = None
         for _ in range(config.repeat):
             start = time.perf_counter()
-            res = _solve(g, config.p, config.method, config.parallel)
+            res = _solve(g, config.p, config.method)
             times.append((time.perf_counter() - start) * 1000.0)
         rows.append(
             {
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_p:
             sp.add_argument("--p", default="1/2", help="proportion i/j (default 1/2)")
         sp.add_argument("--method", choices=METHODS, default="exact")
-        sp.add_argument("--parallel", action="store_true", help="split the search root across processes")
         _add_common(sp)
 
     p_big = sub.add_parser("big-gamma", help="compute Gamma_p (max minimal set)")
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--p", default="1/2")
     p_bench.add_argument("--method", choices=METHODS, default="exact")
     p_bench.add_argument("--repeat", type=int, default=3)
-    p_bench.add_argument("--parallel", action="store_true")
     _add_common(p_bench)
 
     return parser
@@ -410,7 +408,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         edge_probability=parse_proportion(getattr(args, "prob", "1/2")),
         output=getattr(args, "output", None),
         as_json=getattr(args, "json", False),
-        parallel=getattr(args, "parallel", False),
         ratio=getattr(args, "ratio", False),
         repeat=getattr(args, "repeat", 3),
     )

@@ -118,8 +118,15 @@ class Graph:
         for v, a in enumerate(adj):
             if a >> n:
                 raise ValueError(f"adjacency of vertex {v} has out-of-range bits")
-            if (a >> v) & 1:
+            bit = 1 << v
+            if a & bit:
                 raise ValueError(f"self-loop at vertex {v}")
+            # Symmetry by walking set bits: O(n + m), not one test per pair.
+            while a:
+                low = a & -a
+                if not adj[low.bit_length() - 1] & bit:
+                    raise ValueError(f"asymmetric adjacency at vertex {v}")
+                a ^= low
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(
@@ -173,16 +180,9 @@ class Graph:
         return 0 <= u < self.n and 0 <= v < self.n and (self.adj[u] >> v) & 1 == 1
 
     def validate(self) -> None:
-        """Check the structural invariants (symmetry, no self-loops, range)."""
-        for v, a in enumerate(self.adj):
-            if a >> self.n:
-                raise AssertionError(f"adjacency of {v} has out-of-range bits")
-            if (a >> v) & 1:
-                raise AssertionError(f"self-loop at {v}")
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if ((self.adj[u] >> v) & 1) != ((self.adj[v] >> u) & 1):
-                    raise AssertionError(f"asymmetric edge ({u}, {v})")
+        """Check the structural invariants (symmetry, no self-loops, range),
+        which the constructor enforces; raises ``ValueError`` if one fails."""
+        Graph(self.n, self.adj)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -10,9 +10,10 @@ Solvers:
 
 * :func:`t_dom_decision` answers "are there at most k vertices dominating
   at least t vertices?" exactly, by depth-first search with pruning.
-* :func:`gamma_p_exact` finds gamma_p by probing k = 0, 1, 2, ...;
-  :func:`gamma_p_binary_search` finds the same value by binary search on
-  k in [0, n], exercising the monotonicity of feasibility in k.
+* :func:`gamma_p_exact` finds gamma_p by probing k upward from
+  :func:`trivial_lower_bound`; :func:`gamma_p_binary_search` finds the
+  same value and witness by binary search on k between that bound and
+  the greedy cardinality, exercising the monotonicity of feasibility in k.
 * :func:`oracle_gamma_p` is a deliberately naive subset-enumeration
   oracle, kept free of the pruning machinery so it can vouch for the
   other solvers on small instances.
@@ -21,19 +22,14 @@ Solvers:
 * :func:`big_gamma_p_exact` computes Gamma_p, the largest cardinality of
   a *minimal* p-dominating set.
 
-Sequential searches are fully deterministic: candidates are visited in
-decreasing order of marginal coverage with ties broken by vertex index,
-so repeated runs return identical witnesses.  The optional parallel mode
-(``parallel=True`` on the gamma solvers) splits the root of each decision
-search across worker processes; it returns the same cardinality but may
-return a different (still valid, still minimum) witness.
+Searches are fully deterministic: candidates are visited in decreasing
+order of marginal coverage with ties broken by vertex index, so repeated
+runs return identical witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +39,6 @@ Proportion = Fraction
 
 ORACLE_MAX_N = 24
 BIG_GAMMA_MAX_N = 24
-
-_PARALLEL_MIN_N = 16
 
 
 class CapacityError(RuntimeError):
@@ -148,87 +142,62 @@ def is_minimal_p_dominating(g: Graph, s: VertexSet, p) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _search(closed, deg, t, covered, candidates, picks_left, nodes):
-    """Depth-first search for a feasible extension.
+def _decision(g: Graph, t: int, k: int):
+    """Exact decision core; returns ``(witness_mask_or_None, nodes_explored)``.
 
-    ``candidates`` are the vertices still allowed in this subtree; they are
-    visited in decreasing order of marginal coverage (ties by index), and
-    each visited candidate is excluded from its younger siblings' subtrees
-    so no subset is generated twice.  A branch is abandoned when even
-    ``picks_left`` picks of the best conceivable size, one plus the largest
-    degree among the remaining candidates, cannot reach the threshold.
-
-    Returns ``(witness_mask_or_None, nodes)`` with ``nodes`` updated.
+    Depth-first search on an explicit stack.  Each node computes every
+    candidate's marginal gain ``|N[v] - covered|`` once and drops those with
+    none (gains only shrink as coverage grows).  Children are visited in
+    decreasing order of gain, ties to the lower index, each excluded from
+    its younger siblings' subtrees.  Coverage is submodular, so the i-th
+    child's subtree gains at most the ``picks_left`` gains from position i
+    on; that sum never grows with i, so the children worth visiting are a
+    prefix of the order.  The prunes cut only subtrees without a feasible
+    leaf, so the witness depends on the visiting order alone.
     """
-    nodes += 1
-    need = t - covered.bit_count()
-    if need <= 0:
-        return 0, nodes
-    if picks_left == 0 or not candidates:
-        return None, nodes
-    cap = max(deg[v] for v in candidates) + 1
-    if covered.bit_count() + picks_left * cap < t:
-        return None, nodes
-    order = sorted(candidates, key=lambda v: ((closed[v] & ~covered).bit_count(), -v), reverse=True)
-    for i, v in enumerate(order):
-        sub, nodes = _search(
-            closed, deg, t, covered | closed[v], order[i + 1 :], picks_left - 1, nodes
-        )
-        if sub is not None:
-            return sub | (1 << v), nodes
-    return None, nodes
-
-
-def _subtree_job(args):
-    closed, deg, t, covered, candidates, picks_left = args
-    return _search(closed, deg, t, covered, candidates, picks_left, 0)
-
-
-def _decision_parallel(g: Graph, t: int, k: int):
-    closed = g.closed
-    deg = tuple(a.bit_count() for a in g.adj)
-    if k * (max(deg) + 1) < t:
-        return None, 1  # not worth spawning workers for a root-level prune
-    order = sorted(range(g.n), key=lambda v: (closed[v].bit_count(), -v), reverse=True)
-    jobs = [
-        (closed, deg, t, closed[v], order[i + 1 :], k - 1)
-        for i, v in enumerate(order)
-    ]
-    workers = min(len(jobs), os.cpu_count() or 1, 8)
-    nodes = 1
-    witness = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_subtree_job, job): order[i] for i, job in enumerate(jobs)}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                sub, sub_nodes = fut.result()
-                nodes += sub_nodes
-                if sub is not None and witness is None:
-                    witness = sub | (1 << futures[fut])
-            if witness is not None:
-                for fut in pending:
-                    fut.cancel()
-                break
-    return witness, nodes
-
-
-def _decision(g: Graph, t: int, k: int, parallel: bool = False):
-    """Exact decision core; returns ``(witness_mask_or_None, nodes_explored)``."""
     if not 0 <= t <= g.n:
         raise ValueError(f"target t={t} must lie in [0, {g.n}]")
     if k < 0:
         raise ValueError("budget k must be nonnegative")
-    if t == 0:
-        return 0, 1
-    if k == 0:
-        return None, 1
-    if parallel and g.n >= _PARALLEL_MIN_N and k > 1:
-        return _decision_parallel(g, t, k)
     closed = g.closed
-    deg = tuple(a.bit_count() for a in g.adj)
-    return _search(closed, deg, t, 0, list(range(g.n)), k, 0)
+    full = (1 << g.n) - 1
+    nodes = 0
+    # Frames: (covered, chosen, candidates in visiting order, next child,
+    # end of the children worth visiting, picks left below a child).
+    stack = []
+    covered, chosen, candidates, picks_left = 0, 0, range(g.n), k
+    while True:
+        nodes += 1
+        need = t - covered.bit_count()
+        if need <= 0:
+            return chosen, nodes
+        if picks_left:
+            uncovered = full ^ covered
+            ranked = sorted(
+                (-gain, v)
+                for v in candidates
+                if (gain := (closed[v] & uncovered).bit_count())
+            )
+            gains = [-gain for gain, _ in ranked] + [0] * picks_left
+            reach = sum(gains[:picks_left])
+            stop = 0
+            while stop < len(ranked) and reach >= need:
+                reach += gains[stop + picks_left] - gains[stop]
+                stop += 1
+            if stop:
+                order = [v for _, v in ranked]
+                stack.append((covered, chosen, order, 0, stop, picks_left - 1))
+        while stack:
+            covered, chosen, order, i, stop, picks_left = stack.pop()
+            if i < stop:
+                stack.append((covered, chosen, order, i + 1, stop, picks_left))
+                v = order[i]
+                covered |= closed[v]
+                chosen |= 1 << v
+                candidates = order[i + 1 :]
+                break
+        else:
+            return None, nodes
 
 
 def t_dom_decision(g: Graph, t: int, k: int) -> VertexSet | None:
@@ -257,36 +226,53 @@ def _result(g: Graph, mask: int, method: str, nodes: int) -> SolveResult:
     )
 
 
-def gamma_p_exact(g: Graph, p, *, parallel: bool = False) -> SolveResult:
+def trivial_lower_bound(g: Graph, t: int) -> int:
+    """Smallest k whose k largest closed neighbourhoods reach ``t`` in total.
+
+    ``|N[S]|`` is at most the sum of ``|N[v]|`` over ``v`` in ``S``, so no
+    set smaller than this covers ``t`` vertices.
+    """
+    k = reach = 0
+    for size in sorted((c.bit_count() for c in g.closed), reverse=True):
+        if reach >= t:
+            break
+        reach += size
+        k += 1
+    return k
+
+
+def gamma_p_exact(g: Graph, p) -> SolveResult:
     """Exact gamma_p: smallest k for which the decision procedure succeeds.
 
-    Probes k = 0, 1, 2, ...; termination is guaranteed because the full
-    vertex set always dominates everything.
+    Probes k upward from :func:`trivial_lower_bound`; termination is
+    guaranteed because the full vertex set dominates everything.
     """
     t = threshold(g.n, p)
     total = 0
-    for k in range(g.n + 1):
-        mask, nodes = _decision(g, t, k, parallel)
+    for k in range(trivial_lower_bound(g, t), g.n + 1):
+        mask, nodes = _decision(g, t, k)
         total += nodes
         if mask is not None:
             return _result(g, mask, "branch-and-bound", total)
     raise AssertionError("unreachable: the full vertex set dominates all vertices")
 
 
-def gamma_p_binary_search(g: Graph, p, *, parallel: bool = False) -> SolveResult:
-    """Exact gamma_p via binary search on the budget k in [0, n].
+def gamma_p_binary_search(g: Graph, p) -> SolveResult:
+    """Exact gamma_p via binary search on the budget k.
 
     Feasibility is monotone in k (a witness for k works for k + 1), so the
-    smallest feasible k is gamma_p.  Always agrees with
-    :func:`gamma_p_exact` on cardinality.
+    smallest feasible k is gamma_p.  The search runs over
+    ``[trivial_lower_bound, greedy]``, the greedy set being the first
+    incumbent.  Returns the same witness as :func:`gamma_p_exact`.
     """
     t = threshold(g.n, p)
-    lo, hi = 0, g.n
+    lo = trivial_lower_bound(g, t)
+    hi = greedy_gamma_p(g, p).cardinality
     best = None
     total = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        mask, nodes = _decision(g, t, mid, parallel)
+        mask, nodes = _decision(g, t, mid)
         total += nodes
         if mask is not None:
             hi = mid
@@ -294,16 +280,16 @@ def gamma_p_binary_search(g: Graph, p, *, parallel: bool = False) -> SolveResult
         else:
             lo = mid + 1
     if best is None or best.bit_count() != lo:
-        # The last feasible probe may have used a larger budget than the
-        # minimum; re-solve at the exact budget for a tight witness.
-        best, nodes = _decision(g, t, lo, parallel)
+        # The incumbent is the greedy set or came from a larger budget;
+        # the search at the exact budget gives the canonical witness.
+        best, nodes = _decision(g, t, lo)
         total += nodes
     return _result(g, best, "binary-search", total)
 
 
-def gamma_exact(g: Graph, *, parallel: bool = False) -> SolveResult:
+def gamma_exact(g: Graph) -> SolveResult:
     """Classical domination number: gamma_p at p = 1."""
-    return gamma_p_exact(g, Fraction(1), parallel=parallel)
+    return gamma_p_exact(g, Fraction(1))
 
 
 def greedy_gamma_p(g: Graph, p) -> SolveResult:

@@ -172,6 +172,13 @@ class TestBench:
         code, _, err = run_cli(capsys, "bench")
         assert code == 1
 
+    @pytest.mark.parametrize("repeat", ["0", "-1"])
+    def test_repeat_must_be_positive(self, capsys, repeat):
+        code, out, err = run_cli(capsys, "bench", "--family", "cycle:12", "--repeat", repeat)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -67,6 +67,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph.from_edges(3, [(0, 3)])
 
+    def test_constructor_enforces_invariants(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(2, (0b10, 0))
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph(3, (0b010, 0b101, 0b010 | 0b001))
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(2, (0b11, 0b01))
+        with pytest.raises(ValueError, match="out-of-range"):
+            Graph(2, (0b100, 0))
+        assert Graph(2, (0b10, 0b01)).num_edges == 1
+
     def test_graph_immutable(self):
         g = path_graph(3)
         with pytest.raises(AttributeError):

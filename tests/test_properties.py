@@ -20,6 +20,7 @@ from pardom import (
     t_dom_decision,
     threshold,
 )
+from pardom.solver import trivial_lower_bound
 
 from oracles import brute_gamma_p
 
@@ -115,3 +116,10 @@ def test_witnesses_are_valid(g, p):
         assert len(res.witness) == res.cardinality
         assert res.covered == coverage(g, res.witness)
         assert res.covered >= threshold(g.n, p)
+
+
+@given(graphs(), st.sampled_from(PROPORTIONS))
+@settings(max_examples=60, deadline=None)
+def test_trivial_lower_bound_never_exceeds_gamma_p(g, p):
+    bound = trivial_lower_bound(g, threshold(g.n, p))
+    assert bound <= oracle_gamma_p(g, p).cardinality

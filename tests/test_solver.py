@@ -324,12 +324,35 @@ class TestSolverAgreement:
                 assert gamma_p_exact(g, p).cardinality <= gamma
 
 
-class TestParallel:
-    def test_same_cardinality_as_sequential(self):
-        g = grid_graph(4, 6)
-        seq = gamma_p_exact(g, HALF)
-        par = gamma_p_exact(g, HALF, parallel=True)
-        assert par.cardinality == seq.cardinality
-        assert is_p_dominating(g, par.witness, HALF)
-        bs = gamma_p_binary_search(g, HALF, parallel=True)
-        assert bs.cardinality == seq.cardinality
+class TestKnownDominationNumbers:
+    def test_long_cycle_does_not_hit_recursion_limit(self):
+        g = cycle_graph(3300)
+        res = gamma_exact(g)
+        assert res.cardinality == 1100
+        assert res.covered == coverage(g, res.witness) == g.n
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in (2, 3, 4) for n in range(m, 11)])
+    def test_grid_domination_numbers(self, m, n):
+        # Jacobson & Kinch (1984).
+        expected = {
+            2: (n + 2) // 2,
+            3: (3 * n + 4) // 4,
+            4: n + 1 if n in (5, 6, 9) else n,
+        }[m]
+        assert gamma_exact(grid_graph(m, n)).cardinality == expected
+
+    def test_grid_6_6(self):
+        assert gamma_exact(grid_graph(6, 6)).cardinality == 10
+
+    @pytest.mark.parametrize(
+        "g,p,witness",
+        [
+            (grid_graph(5, 5), ONE, [1, 4, 6, 13, 15, 19, 22]),
+            (grid_graph(6, 7), Fraction(5, 6), [8, 11, 15, 20, 24, 28, 33, 37]),
+        ],
+        ids=["grid:5,5@1", "grid:6,7@5/6"],
+    )
+    def test_pinned_witnesses(self, g, p, witness):
+        # The first feasible leaf in the decision search's visiting order.
+        for solve in (gamma_p_exact, gamma_p_binary_search):
+            assert sorted(solve(g, p).witness) == witness
