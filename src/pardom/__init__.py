@@ -9,32 +9,9 @@ constructive witnesses; and audits the standard inequalities relating
 these quantities on supplied or sampled graphs.
 """
 
-from .audit import (
-    AuditReport,
-    CheckRecord,
-    SamplingError,
-    SplitMix64,
-    audit_suite,
-    check_big_gamma,
-    check_ceiling_bound,
-    check_half_bound,
-    check_monotonicity,
-    check_nordhaus_gaddum,
-    nordhaus_gaddum_rhs,
-    sample_connected_coconnected,
-)
-from .formulas import (
-    FormulaConflict,
-    FormulaResult,
-    gamma_grid_goncalves,
-    gamma_half_cycle,
-    gamma_half_formula,
-    gamma_half_grid,
-    gamma_half_multipartite,
-    gamma_half_path,
-    gamma_half_torus,
-    grid_ratio_report,
-)
+from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
+
 from .graph import (
     FAMILIES,
     FamilySpec,
@@ -58,7 +35,9 @@ from .solver import (
     BIG_GAMMA_MAX_N,
     ORACLE_MAX_N,
     CapacityError,
+    FormulaConflict,
     Proportion,
+    SamplingError,
     SolveResult,
     as_proportion,
     big_gamma_p_exact,
@@ -74,5 +53,48 @@ from .solver import (
     t_dom_decision,
     threshold,
 )
+
+# Loaded on first access (PEP 562), so that importing the package, or a
+# CLI subcommand that needs neither module, does not import them.
+_AUDIT = (
+    "AuditReport",
+    "CheckRecord",
+    "SplitMix64",
+    "audit_suite",
+    "check_big_gamma",
+    "check_ceiling_bound",
+    "check_half_bound",
+    "check_monotonicity",
+    "check_nordhaus_gaddum",
+    "nordhaus_gaddum_rhs",
+    "sample_connected_coconnected",
+)
+_FORMULAS = (
+    "FormulaResult",
+    "gamma_grid_goncalves",
+    "gamma_half_cycle",
+    "gamma_half_formula",
+    "gamma_half_grid",
+    "gamma_half_multipartite",
+    "gamma_half_path",
+    "gamma_half_torus",
+    "grid_ratio_report",
+)
+_LAZY = {**dict.fromkeys(_AUDIT, "audit"), **dict.fromkeys(_FORMULAS, "formulas")}
+
+# Every name imported above, plus the lazy ones.
+__all__ = sorted(
+    [name for name, value in globals().items() if name[0] != "_" and not isinstance(value, _ModuleType)]
+    + list(_LAZY)
+)
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{module}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"

@@ -24,31 +24,24 @@ reproducible from a 64-bit seed alone, independent of any host RNG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .graph import FamilySpec, Graph, VertexSet, complement, is_connected
 from .solver import (
     BIG_GAMMA_MAX_N,
     CapacityError,
+    SamplingError,
     as_proportion,
     big_gamma_p_exact,
+    format_proportion,
     gamma_exact,
     gamma_p_exact,
     is_p_dominating,
 )
 
 
-class SamplingError(RuntimeError):
-    """The rejection sampler ran out of rounds without a valid graph."""
-
-
-def format_proportion(p: Fraction) -> str:
-    return f"{p.numerator}/{p.denominator}"
-
-
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(namedtuple("CheckRecord", "tag detail lhs rhs hypothesis_met holds note", defaults=("",))):
     """One instantiated inequality: tag, both sides, hypotheses, verdict.
 
     ``holds`` is exactly ``lhs <= rhs`` when the hypotheses are met and the
@@ -56,13 +49,7 @@ class CheckRecord:
     (``note`` says which).
     """
 
-    tag: str
-    detail: str
-    lhs: int | None
-    rhs: int | None
-    hypothesis_met: bool
-    holds: bool | None
-    note: str = ""
+    __slots__ = ()
 
 
 def _record(tag: str, detail: str, lhs: int, rhs: int, note: str = "") -> CheckRecord:
@@ -73,13 +60,13 @@ def _skipped(tag: str, detail: str, note: str, hypothesis_met: bool = True) -> C
     return CheckRecord(tag, detail, None, None, hypothesis_met, None, note)
 
 
-@dataclass
 class AuditReport:
     """All check records for one graph, in deterministic check order."""
 
-    graph_id: str
-    checks: list[CheckRecord] = field(default_factory=list)
-    seed: int | None = None
+    def __init__(self, graph_id: str, checks: list[CheckRecord] | None = None, seed: int | None = None):
+        self.graph_id = graph_id
+        self.checks = [] if checks is None else checks
+        self.seed = seed
 
     def violations(self) -> list[CheckRecord]:
         return [c for c in self.checks if c.holds is False]

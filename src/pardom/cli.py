@@ -18,26 +18,19 @@ across runs.
 from __future__ import annotations
 
 import argparse
-import json
-import statistics
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
-from .audit import (
-    AuditReport,
-    SamplingError,
-    audit_suite,
-    format_proportion,
-    sample_connected_coconnected,
-)
-from .formulas import FormulaConflict, gamma_half_formula, gamma_grid_goncalves, grid_ratio_report
 from .graph import FamilySpec, Graph, make_family, parse_edge_list, parse_family, to_edge_list
 from .solver import (
     CapacityError,
+    FormulaConflict,
+    SamplingError,
     SolveResult,
     big_gamma_p_exact,
+    format_proportion,
     gamma_p_binary_search,
     gamma_p_exact,
     greedy_gamma_p,
@@ -50,25 +43,33 @@ METHODS = ("exact", "binary-search", "greedy", "oracle")
 
 DEFAULT_AUDIT_PS = "1/4,1/3,1/2,2/3,3/4,1/1"
 
+# Names from ``audit`` and ``formulas``, loaded on first use so that the
+# other subcommands never import those modules.  They stay attributes of
+# this module and are called through its globals (``_lazy``), so that
+# replacing one here, with a test double or a tracing wrapper, is honoured.
+_LAZY = ("audit_suite", "sample_connected_coconnected", "gamma_half_formula",
+         "gamma_grid_goncalves", "grid_ratio_report")
 
-@dataclass(frozen=True)
-class RunConfig:
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
+
+
+def _lazy(name: str):
+    return globals().get(name) or __getattr__(name)
+
+
+_RUN_FIELDS = "command family families input_path p ps method seed sample_n edge_probability output as_json ratio repeat"
+_RUN_DEFAULTS = (None, (), None, Fraction(1, 2), (), "exact", None, None, Fraction(1, 2), None, False, False, 3)
+
+
+class RunConfig(namedtuple("RunConfig", _RUN_FIELDS, defaults=_RUN_DEFAULTS)):
     """One resolved CLI invocation."""
 
-    command: str
-    family: FamilySpec | None = None
-    families: tuple[FamilySpec, ...] = ()
-    input_path: str | None = None
-    p: Fraction = Fraction(1, 2)
-    ps: tuple[Fraction, ...] = ()
-    method: str = "exact"
-    seed: int | None = None
-    sample_n: int | None = None
-    edge_probability: Fraction = Fraction(1, 2)
-    output: str | None = None
-    as_json: bool = False
-    ratio: bool = False
-    repeat: int = 3
+    __slots__ = ()
 
 
 def _load_graph(config: RunConfig) -> tuple[Graph, str, FamilySpec | None]:
@@ -91,7 +92,7 @@ def _load_graph(config: RunConfig) -> tuple[Graph, str, FamilySpec | None]:
         return parse_edge_list(text), config.input_path, None
     if config.sample_n is not None:
         seed = config.seed if config.seed is not None else 0
-        g = sample_connected_coconnected(config.sample_n, config.edge_probability, seed)
+        g = _lazy("sample_connected_coconnected")(config.sample_n, config.edge_probability, seed)
         label = (
             f"sample:n={config.sample_n},"
             f"p={format_proportion(config.edge_probability)},seed={seed}"
@@ -124,15 +125,26 @@ def _render_kv(pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(doc) -> str:
+    import json  # only --json output needs it
+
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _render(pairs, as_json: bool) -> str:
     if as_json:
-        return json.dumps(dict(pairs), sort_keys=True) + "\n"
+        return _json(dict(pairs))
     return _render_kv(pairs)
 
 
 def _run_solve(config: RunConfig, p: Fraction) -> str:
+    """gamma_p by ``config.method``, or Gamma_p for ``big-gamma``."""
     g, label, _ = _load_graph(config)
-    res = _solve(g, p, config.method)
+    if config.command == "big-gamma":
+        res = big_gamma_p_exact(g, p)
+    else:
+        res = _solve(g, p, config.method)
+    witness = sorted(res.witness)
     pairs = [
         ("command", config.command),
         ("graph", label),
@@ -141,35 +153,11 @@ def _run_solve(config: RunConfig, p: Fraction) -> str:
         ("threshold", threshold(g.n, p)),
         ("method", res.method),
         ("cardinality", res.cardinality),
-        ("witness", sorted(res.witness)),
+        ("witness", witness if config.as_json else _witness_text(witness)),
         ("covered", res.covered),
         ("nodes_explored", res.nodes_explored),
     ]
-    if config.as_json:
-        return _render(pairs, True)
-    pairs = [(k, _witness_text(v) if k == "witness" else v) for k, v in pairs]
-    return _render_kv(pairs)
-
-
-def _run_big_gamma(config: RunConfig) -> str:
-    g, label, _ = _load_graph(config)
-    res = big_gamma_p_exact(g, config.p)
-    pairs = [
-        ("command", "big-gamma"),
-        ("graph", label),
-        ("n", g.n),
-        ("p", format_proportion(config.p)),
-        ("threshold", threshold(g.n, config.p)),
-        ("method", res.method),
-        ("cardinality", res.cardinality),
-        ("witness", sorted(res.witness)),
-        ("covered", res.covered),
-        ("nodes_explored", res.nodes_explored),
-    ]
-    if config.as_json:
-        return _render(pairs, True)
-    pairs = [(k, _witness_text(v) if k == "witness" else v) for k, v in pairs]
-    return _render_kv(pairs)
+    return _render(pairs, config.as_json)
 
 
 def _run_closed_form(config: RunConfig) -> str:
@@ -180,16 +168,16 @@ def _run_closed_form(config: RunConfig) -> str:
         if spec.family != "grid":
             raise ValueError("--ratio applies to grid families only")
         m, n = spec.params
-        ratio = grid_ratio_report(m, n)
+        ratio = _lazy("grid_ratio_report")(m, n)
         pairs = [
             ("command", "closed-form"),
             ("family", str(spec)),
-            ("gamma_half", gamma_half_formula(spec).value),
-            ("gamma_reference", gamma_grid_goncalves(m, n)),
+            ("gamma_half", _lazy("gamma_half_formula")(spec).value),
+            ("gamma_reference", _lazy("gamma_grid_goncalves")(m, n)),
             ("ratio", format_proportion(ratio)),
         ]
         return _render(pairs, config.as_json)
-    res = gamma_half_formula(spec)
+    res = _lazy("gamma_half_formula")(spec)
     pairs = [
         ("command", "closed-form"),
         ("family", str(spec)),
@@ -216,7 +204,7 @@ def _check_line(check) -> str:
     return line
 
 
-def _render_audit(report: AuditReport, g: Graph, as_json: bool) -> str:
+def _render_audit(report, g: Graph, as_json: bool) -> str:
     if as_json:
         doc = {
             "command": "audit",
@@ -237,7 +225,7 @@ def _render_audit(report: AuditReport, g: Graph, as_json: bool) -> str:
             ],
             "all_hold": report.all_hold(),
         }
-        return json.dumps(doc, sort_keys=True) + "\n"
+        return _json(doc)
     lines = [
         "command audit",
         f"graph {report.graph_id}",
@@ -256,7 +244,7 @@ def _run_audit(config: RunConfig) -> str:
     seed = config.seed
     if config.sample_n is not None and seed is None:
         seed = 0  # the sampler's default, recorded so reruns reproduce
-    report = audit_suite(g, config.ps, graph_id=label, seed=seed, family=family)
+    report = _lazy("audit_suite")(g, config.ps, graph_id=label, seed=seed, family=family)
     return _render_audit(report, g, config.as_json)
 
 
@@ -273,6 +261,8 @@ def _run_bench(config: RunConfig) -> str:
             start = time.perf_counter()
             res = _solve(g, config.p, config.method)
             times.append((time.perf_counter() - start) * 1000.0)
+        times.sort()
+        mid = len(times) // 2  # times[mid] and times[~mid] are the middle pair
         rows.append(
             {
                 "family": str(spec),
@@ -280,7 +270,7 @@ def _run_bench(config: RunConfig) -> str:
                 "cardinality": res.cardinality,
                 "nodes_explored": res.nodes_explored,
                 "min_ms": round(min(times), 3),
-                "median_ms": round(statistics.median(times), 3),
+                "median_ms": round((times[mid] + times[~mid]) / 2, 3),
             }
         )
     if config.as_json:
@@ -291,7 +281,7 @@ def _run_bench(config: RunConfig) -> str:
             "repeat": config.repeat,
             "rows": rows,
         }
-        return json.dumps(doc, sort_keys=True) + "\n"
+        return _json(doc)
     lines = [
         "command bench",
         f"p {format_proportion(config.p)}",
@@ -313,12 +303,10 @@ def run(config: RunConfig) -> str:
         if config.family is None:
             raise ValueError("gen needs --family")
         return to_edge_list(make_family(config.family))
-    if config.command == "solve":
+    if config.command in ("solve", "big-gamma"):
         return _run_solve(config, config.p)
     if config.command == "gamma":
         return _run_solve(config, Fraction(1))
-    if config.command == "big-gamma":
-        return _run_big_gamma(config)
     if config.command == "closed-form":
         return _run_closed_form(config)
     if config.command == "audit":
@@ -419,14 +407,14 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         out = run(config)
+        if config.output:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(out)
+            out = ""
     except (ValueError, CapacityError, SamplingError, FormulaConflict, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    sys.stdout.write(out)
     return 0
 
 

@@ -24,7 +24,7 @@ value, :class:`FormulaConflict` is raised rather than hiding the mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graph import (
@@ -37,7 +37,7 @@ from .graph import (
     path_graph,
     torus_graph,
 )
-from .solver import gamma_p_exact, is_p_dominating
+from .solver import FormulaConflict, gamma_p_exact, is_p_dominating
 
 HALF = Fraction(1, 2)
 
@@ -46,12 +46,7 @@ HALF = Fraction(1, 2)
 WITNESS_MAX_VERTICES = 10_000
 
 
-class FormulaConflict(RuntimeError):
-    """An exact solve contradicted a closed-form value (erratum candidate)."""
-
-
-@dataclass(frozen=True)
-class FormulaResult:
+class FormulaResult(namedtuple("FormulaResult", "value witness family construction", defaults=(None,))):
     """A closed-form value, its family, and an optional verified witness.
 
     ``construction`` is ``"disjoint-pattern"`` when the witness came from
@@ -59,10 +54,7 @@ class FormulaResult:
     came from the fallback solve, and ``None`` when no witness was built.
     """
 
-    value: int
-    witness: VertexSet | None
-    family: FamilySpec
-    construction: str | None = None
+    __slots__ = ()
 
 
 def _ceil_div(a: int, b: int) -> int:

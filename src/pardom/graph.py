@@ -22,8 +22,8 @@ reproducible):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 
 class VertexSet:
@@ -237,8 +237,7 @@ def is_connected(g: Graph) -> bool:
 FAMILIES = ("path", "cycle", "multipartite", "grid", "torus", "spider")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "family params")):
     """A named graph family plus its integer parameters.
 
     ``params`` holds ``(n,)`` for paths and cycles, the part sizes for
@@ -246,8 +245,7 @@ class FamilySpec:
     ``(legs,)`` for spiders.
     """
 
-    family: str
-    params: tuple[int, ...]
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"

@@ -30,7 +30,7 @@ runs return identical witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .graph import Graph, VertexSet
@@ -45,8 +45,15 @@ class CapacityError(RuntimeError):
     """An instance exceeds the documented size limit of an exact routine."""
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SamplingError(RuntimeError):
+    """The rejection sampler ran out of rounds without a valid graph."""
+
+
+class FormulaConflict(RuntimeError):
+    """An exact solve contradicted a closed-form value (erratum candidate)."""
+
+
+class SolveResult(namedtuple("SolveResult", "cardinality witness covered method nodes_explored")):
     """Outcome of a domination solve.
 
     ``covered`` is ``|N[witness]|`` recomputed from the graph, and
@@ -54,11 +61,7 @@ class SolveResult:
     the oracle; candidate scans, for the greedy heuristic).
     """
 
-    cardinality: int
-    witness: VertexSet
-    covered: int
-    method: str
-    nodes_explored: int
+    __slots__ = ()
 
 
 def parse_proportion(text: str) -> Fraction:
@@ -72,6 +75,10 @@ def parse_proportion(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"proportion {text!r} must look like 'i/j' with j >= 1") from None
     return as_proportion(p)
+
+
+def format_proportion(p: Fraction) -> str:
+    return f"{p.numerator}/{p.denominator}"
 
 
 def as_proportion(p) -> Fraction:

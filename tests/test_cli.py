@@ -95,6 +95,14 @@ class TestGenAndInput:
         code, out, _ = run_cli(capsys, "solve", "--input", str(path), "--p", "1/2")
         assert parse_kv(out)["cardinality"] == "1"
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "x.edges"
+        code, out, err = run_cli(capsys, "gen", "--family", "cycle:5", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.exists()
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--input", "/nonexistent.edges", "--p", "1/2")
         assert code == 1 and "error:" in err
